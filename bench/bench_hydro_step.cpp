@@ -1,25 +1,24 @@
-// Step-to-step latency of the hydro solver on a deep AMR tree — the
-// before/after measurement for the SoA/SIMD pencil kernels plus the
-// futurized per-leaf stage pipeline (paper §4.3's stencil/SoA rewrite, which
-// the ablation study credits with 1.90–2.22x of the hydro speedup). Two
-// configurations advance the same tree:
+// Step-to-step latency of the hydro solver on a deep AMR tree: the SoA/SIMD
+// pencil kernels (paper §4.3's stencil/SoA rewrite, which the ablation study
+// credits with 1.90–2.22x of the hydro speedup) under the futurized per-leaf
+// stage pipeline (ghost fills / flux sweeps / refluxes / updates as
+// dependency-gated tasks, CFL folded in), recycler enabled so steady-state
+// steps allocate nothing. Two configurations advance the same tree:
 //
-//   seed-equivalent : scalar AoS pencil loops, barriered fill-then-stage
-//                     schedule, buffer recycling disabled (every scratch
-//                     buffer goes through operator new, as the seed did);
-//   vectorized      : SoA pencils on simd::pack lanes, per-leaf futurized
-//                     pipeline (ghost fills / flux sweeps / refluxes /
-//                     updates as dependency-gated tasks, CFL folded in),
-//                     recycler enabled — steady-state steps allocate nothing.
+//   default   : the fixed default pack width, untiled;
+//   autotuned : width/tile from the autotune cache (kernel/autotune.hpp).
+//
+// Exits 1 if the autotuned steady step is more than 15% slower than the
+// default (the tuned pick can never measure worse during its sweep).
 //
 // The tree is the level-14 analogue used for profiling: blob density refined
 // toward the domain center to level 5 (1273 nodes / 1114 leaves at INX = 8),
 // the same per-leaf work a production level-14 run does per octree node.
+//
+// usage: bench_hydro_step [max_level 0..10 (5)] [steps 1..1000 (5)]
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "amr/tree.hpp"
 #include "hydro/update.hpp"
@@ -27,6 +26,8 @@
 #include "simd/pack.hpp"
 #include "support/buffer_recycler.hpp"
 #include "support/timer.hpp"
+
+#include "bench_args.hpp"
 
 using namespace octo;
 using amr::box_geometry;
@@ -79,8 +80,7 @@ struct run_result {
     double steady_ms = 0; ///< mean of the remaining steps
 };
 
-run_result run(amr::tree& t, const hydro::step_options& opt, int steps,
-               bool report_recycler) {
+run_result run(amr::tree& t, const hydro::step_options& opt, int steps) {
     auto& rec = buffer_recycler::instance();
     run_result r;
     for (int i = 0; i < steps; ++i) {
@@ -89,56 +89,40 @@ run_result run(amr::tree& t, const hydro::step_options& opt, int steps,
         (void)hydro::step(t, opt);
         const double ms = sw.seconds() * 1e3;
         const auto after = rec.stats();
-        if (report_recycler) {
-            std::printf("step %d: %9.3f ms   recycler hits %llu  misses %llu\n",
-                        i, ms,
-                        static_cast<unsigned long long>(after.hits -
-                                                        before.hits),
-                        static_cast<unsigned long long>(after.misses -
-                                                        before.misses));
-        } else {
-            std::printf("step %d: %9.3f ms\n", i, ms);
-        }
+        std::printf("step %d: %9.3f ms   recycler hits %llu  misses %llu\n", i,
+                    ms,
+                    static_cast<unsigned long long>(after.hits - before.hits),
+                    static_cast<unsigned long long>(after.misses -
+                                                    before.misses));
         if (i == 0) r.first_ms = ms;
         else r.steady_ms += ms / (steps - 1);
     }
     return r;
 }
 
+constexpr const char* usage = "[max_level 0..10] [steps 1..1000]";
+
 } // namespace
 
 int main(int argc, char** argv) {
-    const int max_level = std::max(0, argc > 1 ? std::atoi(argv[1]) : 5);
-    const int steps = std::max(1, argc > 2 ? std::atoi(argv[2]) : 5);
+    const int max_level = bench::int_arg(argc, argv, 1, 5, 0, 10, usage);
+    const int steps = bench::int_arg(argc, argv, 2, 5, 1, 1000, usage);
 
-    std::printf("=== hydro::step latency: scalar+barriered vs SoA-SIMD+"
-                "futurized ===\n\n");
+    std::printf("=== hydro::step latency: SoA-SIMD kernels, futurized "
+                "pipeline ===\n\n");
     auto& rec = buffer_recycler::instance();
-    run_result seed, vec;
 
-    { // Seed-equivalent: scalar kernels, global barriers, no recycling.
+    run_result vec;
+    { // Fixed-default configuration: default pack width, untiled.
         auto t = make_scene(max_level);
         std::printf("tree: %zu nodes, %zu leaves, max_level %d, %d steps\n\n",
                     t.size(), t.leaf_count(), t.max_level(), steps);
-        rec.set_enabled(false);
         rec.clear();
-        std::printf("--- seed-equivalent (scalar AoS, barriered) ---\n");
-        hydro::step_options opt;
-        opt.eos = phys::ideal_gas_eos(5.0 / 3.0);
-        opt.use_simd = false;
-        opt.futurized = false;
-        seed = run(t, opt, steps, false);
-        rec.set_enabled(true);
-    }
-
-    { // Fixed-default configuration: SoA/SIMD kernels, per-leaf pipeline.
-        auto t = make_scene(max_level);
-        rec.clear();
-        std::printf("\n--- vectorized (SoA pencils x%d lanes, futurized) ---\n",
+        std::printf("--- default (SoA pencils x%d lanes) ---\n",
                     static_cast<int>(simd::default_width));
         hydro::step_options opt;
         opt.eos = phys::ideal_gas_eos(5.0 / 3.0);
-        vec = run(t, opt, steps, true);
+        vec = run(t, opt, steps);
     }
 
     run_result tuned;
@@ -151,7 +135,7 @@ int main(int argc, char** argv) {
         hydro::step_options opt;
         opt.eos = phys::ideal_gas_eos(5.0 / 3.0);
         opt.autotune = true;
-        tuned = run(t, opt, steps, true);
+        tuned = run(t, opt, steps);
     }
 
     const auto& apex = rt::apex_registry::instance();
@@ -167,17 +151,13 @@ int main(int argc, char** argv) {
 
     std::printf("\n%-42s %12s %12s\n", "configuration", "first[ms]",
                 "steady[ms]");
-    std::printf("%-42s %12.3f %12.3f\n", "scalar AoS + barriered (seed)",
-                seed.first_ms, seed.steady_ms);
     std::printf("%-42s %12.3f %12.3f\n", "SoA/SIMD + futurized pipeline",
                 vec.first_ms, vec.steady_ms);
     std::printf("%-42s %12.3f %12.3f\n", "autotuned width/tile", tuned.first_ms,
                 tuned.steady_ms);
     if (steps > 1) {
-        std::printf("\nsteady-state speedup: %.2fx (vectorized), %.2fx "
-                    "(autotuned)\n",
-                    seed.steady_ms / vec.steady_ms,
-                    seed.steady_ms / tuned.steady_ms);
+        std::printf("\nautotuned / default steady step: %.2fx\n",
+                    tuned.steady_ms / vec.steady_ms);
         // The tuned geometry can never MEASURE worse than the default during
         // the sweep (the default is the first candidate); full-step wall time
         // is noisier, so allow 15% before calling it a regression.
@@ -187,7 +167,7 @@ int main(int argc, char** argv) {
             return 1;
         }
     } else {
-        std::printf("\nsteady-state speedup: n/a (need >= 2 steps)\n");
+        std::printf("\nsteady state: n/a (need >= 2 steps)\n");
     }
     return 0;
 }

@@ -42,12 +42,10 @@ struct step_options {
     amr::boundary_kind bc = amr::boundary_kind::outflow;
     double cfl = 0.4;
     bool use_ppm = true;        ///< false: piecewise-constant (ablation)
-    /// SoA pencil kernels on simd::pack (paper §4.3) vs the width-1
-    /// instantiation of the same portable kernel source (src/kernel). Both
-    /// produce results equal to rounding; the scalar path is kept selectable
-    /// for A/B benchmarking and equivalence tests.
-    bool use_simd = true;
-    /// Explicit SIMD pack width (2/4/8); 0 defers to use_simd's default.
+    /// Pack width of the SoA pencil kernels on simd::pack (paper §4.3): 0
+    /// selects the default width, 1 the scalar instantiation of the same
+    /// portable kernel source (src/kernel), 2/4/8 an explicit width. All
+    /// widths agree to rounding.
     int simd_width = 0;
     /// Transverse-lane tile of the pencil kernels (cache blocking; any value
     /// is bit-identical). 0 = untiled; clamped to a multiple of the width.
@@ -57,12 +55,6 @@ struct step_options {
     /// use if the cache has no entry yet.
     bool autotune = false;
     std::string machine = "host";
-    /// Per-leaf future pipeline (ghost fills, flux sweeps, refluxes and
-    /// updates chained as continuations, RK stages overlapped) vs the
-    /// barriered fill-then-stage schedule. Identical results by
-    /// construction — the DAG encodes exactly the data dependencies the
-    /// barriers over-approximate.
-    bool futurized = true;
     double fixed_dt = 0.0;      ///< >0: skip the CFL computation
     dvec3 omega{0, 0, 0};       ///< rotating-frame angular velocity
     gravity_lookup gravity;     ///< optional gravitational coupling
@@ -81,7 +73,10 @@ struct step_options {
 };
 
 /// Advance the whole tree by one SSP-RK2 step; returns the dt taken.
-/// Leaves must hold field data; ghost zones are filled internally.
+/// Leaves must hold field data; ghost zones are filled internally. The step
+/// runs as a per-leaf future pipeline (ghost fills, flux sweeps, refluxes
+/// and updates chained as continuations, RK stages overlapped); results are
+/// bit-identical for any worker count of `pool`.
 /// Discarding the dt loses the only record of how far time advanced.
 [[nodiscard]] double step(amr::tree& t, const step_options& opt);
 

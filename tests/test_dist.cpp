@@ -6,14 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
+#include <mutex>
 #include <numeric>
+#include <set>
+#include <thread>
 
 #include "dist/locality.hpp"
 #include "dist/serialize.hpp"
 #include "net/model.hpp"
 #include "net/parcelport.hpp"
 #include "support/error.hpp"
-#include "support/timer.hpp"
 
 namespace {
 
@@ -187,26 +190,83 @@ TEST(RmaRegistration, AmortizesPinningCost) {
     EXPECT_LT(registered_delta, unregistered);
 }
 
-TEST(PortComparison, OneSidedDeliversWithLowerWallClockLatency) {
-    // Structural check: the MPI port's deliveries wait for the progress
-    // engine; the libfabric port's completions trigger immediately.
-    auto measure = [](parcelport_factory f) {
-        runtime rt(2, std::move(f));
+/// Parcelport decorator that watches where receipts complete. Every
+/// delivered data parcel triggers an ack from the thread that delivered it,
+/// so an ack's sending thread is the delivering thread, and an ack sent from
+/// inside a data send on the same thread means the receipt completed
+/// synchronously within that send.
+class receipt_probe final : public parcelport {
+  public:
+    struct snapshot {
+        std::uint64_t acks = 0;
+        std::uint64_t acks_inside_send = 0;
+        std::set<std::thread::id> ack_threads;
+    };
+
+    explicit receipt_probe(std::unique_ptr<parcelport> inner)
+        : inner_(std::move(inner)) {}
+
+    void send(parcel p) override {
+        if (p.kind == parcel_kind::ack) {
+            std::lock_guard lock(mutex_);
+            ++seen_.acks;
+            if (in_data_send) ++seen_.acks_inside_send;
+            seen_.ack_threads.insert(std::this_thread::get_id());
+            inner_->send(std::move(p));
+            return;
+        }
+        in_data_send = true;
+        inner_->send(std::move(p));
+        in_data_send = false;
+    }
+    const char* name() const override { return inner_->name(); }
+    port_stats stats() const override { return inner_->stats(); }
+
+    snapshot seen() const {
+        std::lock_guard lock(mutex_);
+        return seen_;
+    }
+
+  private:
+    static thread_local bool in_data_send;
+    std::unique_ptr<parcelport> inner_;
+    mutable std::mutex mutex_;
+    snapshot seen_;
+};
+thread_local bool receipt_probe::in_data_send = false;
+
+TEST(PortComparison, OnlyTwoSidedReceiptsWaitForTheProgressEngine) {
+    // The MPI port's deliveries wait for the progress engine: a send only
+    // stages the parcel, and every receipt happens later on the one progress
+    // thread at its poll cadence. The libfabric port's completions do not
+    // wait for anything: each receipt completes inside the send call. Both
+    // are checked structurally rather than by timing round trips, whose
+    // ~80 us means drown the few-us modeled poll difference under load.
+    constexpr int rounds = 50;
+    auto observe = [](parcelport_factory f) {
+        runtime rt(2, [f = std::move(f)](runtime& r) {
+            return std::make_unique<receipt_probe>(f(r));
+        });
         std::atomic<bool> got{false};
         const auto act =
             rt.register_action("ping", [&](int, iarchive) { got = true; });
-        octo::stopwatch sw;
-        constexpr int rounds = 50;
         for (int i = 0; i < rounds; ++i) {
             got = false;
             rt.apply(1, act, oarchive{});
             while (!got.load()) std::this_thread::yield();
         }
-        return sw.seconds() / rounds;
+        rt.wait_quiet();
+        return dynamic_cast<receipt_probe&>(rt.port()).seen();
     };
-    const double t_mpi = measure(net::make_mpi_port());
-    const double t_lf = measure(net::make_libfabric_port());
-    EXPECT_LT(t_lf, t_mpi);
+
+    const auto mpi = observe(net::make_mpi_port());
+    EXPECT_GE(mpi.acks, static_cast<std::uint64_t>(rounds));
+    EXPECT_EQ(mpi.acks_inside_send, 0u);
+    ASSERT_EQ(mpi.ack_threads.size(), 1u);
+    EXPECT_NE(*mpi.ack_threads.begin(), std::this_thread::get_id());
+
+    const auto lf = observe(net::make_libfabric_port());
+    EXPECT_GE(lf.acks_inside_send, static_cast<std::uint64_t>(rounds));
 }
 
 } // namespace

@@ -664,8 +664,8 @@ TEST(LegacyIlist, MatchesStencilKernel) {
 
 // ---- futurized DAG and workspace recycling ----------------------------------
 
-/// Four-level tree (levels 0..3) with blob density, the shape used to compare
-/// the futurized and barriered schedules.
+/// Four-level tree (levels 0..3) with blob density, the shape used to check
+/// the DAG against itself at different worker counts.
 tree four_level_tree() {
     tree t(unit_root());
     t.refine(root_key);
@@ -693,21 +693,27 @@ void expect_identical_gravity(const tree& t, const solver& a, const solver& b) {
     }
 }
 
-TEST(SolverDag, FuturizedMatchesBarrieredBitIdentical) {
-    // The per-node dependency DAG runs exactly the kernels of the barriered
-    // schedule with the same per-node accumulation order, so the two paths
-    // must agree to the last bit — not just to a tolerance.
+TEST(SolverDag, OneWorkerMatchesFourWorkersBitIdentical) {
+    // Thread-count invariance is the schedule oracle: every node's expansion
+    // is accumulated in a fixed order (its own same-level task, then the
+    // parent's L2L) however the DAG interleaves, so a 1-worker and a
+    // 4-worker pool must agree to the last bit — not just to a tolerance.
+    // Repeated solves also cover the recycled workspace.
     tree t = four_level_tree();
-    solver fut({.conserve = am_mode::spin_deposit, .futurized = true});
-    fut.solve(t);
-    solver bar({.conserve = am_mode::spin_deposit, .futurized = false});
-    bar.solve(t);
-    expect_identical_gravity(t, fut, bar);
+    rt::thread_pool p1(1);
+    rt::thread_pool p4(4);
+    solver one({.conserve = am_mode::spin_deposit, .pool = &p1});
+    solver four({.conserve = am_mode::spin_deposit, .pool = &p4});
+    for (int rep = 0; rep < 3; ++rep) {
+        one.solve(t);
+        four.solve(t);
+        expect_identical_gravity(t, one, four);
+    }
 }
 
 TEST(SolverDag, FuturizedKeepsConservationInvariants) {
     tree t = four_level_tree();
-    solver s({.conserve = am_mode::spin_deposit, .futurized = true});
+    solver s({.conserve = am_mode::spin_deposit});
     s.solve(t);
 
     double fscale = 0;

@@ -18,6 +18,7 @@
 #include "hydro/riemann_exact.hpp"
 #include "hydro/sedov.hpp"
 #include "hydro/update.hpp"
+#include "runtime/thread_pool.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -628,12 +629,14 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- kernel and schedule ablations (paper §4.3) ----------------------------
 //
-// The SoA/SIMD pencil kernels and the futurized per-leaf pipeline are both
-// selectable via step_options; these tests pin down their contracts:
-//   * scalar vs SIMD kernels agree to 1e-14 (relative to each field's scale),
-//   * barriered vs futurized scheduling agree BIT FOR BIT (the DAG encodes
-//     exactly the dependencies the barriers over-approximate),
-//   * the conservation ledger closes on the default (SIMD + futurized) path.
+// The SoA/SIMD pencil kernels run at a selectable pack width and the step
+// runs as a per-leaf future pipeline; these tests pin down their contracts:
+//   * width-1 (scalar) vs default-width kernels agree to 1e-14 (relative to
+//     each field's scale),
+//   * the pipeline on a 1-worker and a 4-worker pool agrees BIT FOR BIT
+//     (every leaf's data is written in a fixed order whatever the
+//     interleaving — thread-count invariance is the schedule oracle),
+//   * the conservation ledger closes on the default path.
 
 /// A non-uniform tree: one level-1 child refined once more, so restriction,
 /// coarse-fine ghost interpolation and refluxing are all exercised.
@@ -669,10 +672,10 @@ double max_field_rel_diff(const tree& a, const tree& b) {
 }
 
 TEST(Ablations, SimdKernelsMatchScalarKernels) {
-    // Same ICs, same schedule, scalar AoS loops vs SoA pencil kernels: the
-    // vectorized reconstruction/flux/update must reproduce the scalar path
-    // to rounding (1e-14 of each field's scale) on an AMR tree with
-    // rotation, spin and passives active.
+    // Same ICs, same schedule, width-1 (scalar) vs default-width kernels:
+    // the vectorized reconstruction/flux/update must reproduce the scalar
+    // instantiation to rounding (1e-14 of each field's scale) on an AMR tree
+    // with rotation, spin and passives active.
     phys::ideal_gas_eos eos(1.4);
     tree ts(unit_root()), tv(unit_root());
     refine_amr(ts);
@@ -683,9 +686,9 @@ TEST(Ablations, SimdKernelsMatchScalarKernels) {
     step_options opt;
     opt.eos = eos;
     opt.omega = {0, 0, 0.5};
-    opt.use_simd = false;
+    opt.simd_width = 1;
     step_options optv = opt;
-    optv.use_simd = true;
+    optv.simd_width = 0;
     for (int s = 0; s < 3; ++s) {
         const double dts = step(ts, opt);
         const double dtv = step(tv, optv);
@@ -694,31 +697,34 @@ TEST(Ablations, SimdKernelsMatchScalarKernels) {
     EXPECT_LE(max_field_rel_diff(ts, tv), 1e-14);
 }
 
-/// Run `steps` steps on two copies of the same IC, one barriered, one
-/// futurized, and require bit-identical results.
+/// Run `steps` steps on two copies of the same IC, one on a 1-worker pool,
+/// one on a 4-worker pool, and require bit-identical results.
 template <class Ic>
-void expect_schedules_identical(const Ic& ic, step_options opt, int steps) {
-    tree tb(unit_root()), tf(unit_root());
-    refine_amr(tb);
-    refine_amr(tf);
-    init_state(tb, ic);
-    init_state(tf, ic);
-    step_options optb = opt;
-    optb.futurized = false;
-    opt.futurized = true;
+void expect_thread_count_invariant(const Ic& ic, step_options opt,
+                                   int steps) {
+    rt::thread_pool p1(1);
+    rt::thread_pool p4(4);
+    tree t1(unit_root()), t4(unit_root());
+    refine_amr(t1);
+    refine_amr(t4);
+    init_state(t1, ic);
+    init_state(t4, ic);
+    step_options opt1 = opt;
+    opt1.pool = &p1;
+    opt.pool = &p4;
     for (int s = 0; s < steps; ++s) {
-        const double dtb = step(tb, optb);
-        const double dtf = step(tf, opt);
-        EXPECT_EQ(dtb, dtf);
+        const double dt1 = step(t1, opt1);
+        const double dt4 = step(t4, opt);
+        EXPECT_EQ(dt1, dt4);
     }
-    EXPECT_EQ(max_field_rel_diff(tb, tf), 0.0);
+    EXPECT_EQ(max_field_rel_diff(t1, t4), 0.0);
 }
 
-TEST(Ablations, FuturizedMatchesBarrieredOnSod) {
+TEST(ThreadCountInvariance, SodOneWorkerMatchesFour) {
     phys::ideal_gas_eos eos(1.4);
     step_options opt;
     opt.eos = eos;
-    expect_schedules_identical(
+    expect_thread_count_invariant(
         [&](const dvec3& r) {
             return r.x < 0.5 ? make_state(1.0, {0, 0, 0}, 1.0, eos)
                              : make_state(0.125, {0, 0, 0}, 0.1, eos);
@@ -726,11 +732,11 @@ TEST(Ablations, FuturizedMatchesBarrieredOnSod) {
         opt, 4);
 }
 
-TEST(Ablations, FuturizedMatchesBarrieredOnSedov) {
+TEST(ThreadCountInvariance, SedovOneWorkerMatchesFour) {
     phys::ideal_gas_eos eos(5.0 / 3.0);
     step_options opt;
     opt.eos = eos;
-    expect_schedules_identical(
+    expect_thread_count_invariant(
         [&](const dvec3& r) {
             const double p =
                 norm2(r - dvec3{0.5, 0.5, 0.5}) < 0.01 ? 100.0 : 1e-3;
@@ -739,11 +745,11 @@ TEST(Ablations, FuturizedMatchesBarrieredOnSedov) {
         opt, 3);
 }
 
-TEST(Ablations, FuturizedMatchesBarrieredOnRotatingStar) {
+TEST(ThreadCountInvariance, RotatingStarOneWorkerMatchesFour) {
     // Rotating-star analogue: the compact spinning blob in a rotating frame
     // with an analytic gravity field and a before_stage hook (the coupled
-    // driver's re-solve slot, which the futurized schedule overlaps with the
-    // ghost fills). Everything must still be bit-identical.
+    // driver's re-solve slot, which the pipeline overlaps with the ghost
+    // fills). Everything must still be bit-identical across worker counts.
     phys::ideal_gas_eos eos(5.0 / 3.0);
 
     struct analytic_gravity {
@@ -775,50 +781,52 @@ TEST(Ablations, FuturizedMatchesBarrieredOnRotatingStar) {
         }
     };
 
-    tree tb(unit_root()), tf(unit_root());
-    refine_amr(tb);
-    refine_amr(tf);
+    rt::thread_pool p1(1);
+    rt::thread_pool p4(4);
+    tree t1(unit_root()), t4(unit_root());
+    refine_amr(t1);
+    refine_amr(t4);
     const auto ic = [&](const dvec3& r) { return blob_ic(r, eos); };
-    init_state(tb, ic);
-    init_state(tf, ic);
-    analytic_gravity gb, gf;
-    gb.build(tb);
-    gf.build(tf);
-    int calls_b = 0, calls_f = 0;
+    init_state(t1, ic);
+    init_state(t4, ic);
+    analytic_gravity g1, g4;
+    g1.build(t1);
+    g4.build(t4);
+    int calls_1 = 0, calls_4 = 0;
 
-    step_options optb;
-    optb.eos = eos;
-    optb.omega = {0, 0, 0.3};
-    optb.futurized = false;
-    optb.gravity = gb.lookup();
-    optb.before_stage = [&calls_b] { ++calls_b; };
-    step_options optf = optb;
-    optf.futurized = true;
-    optf.gravity = gf.lookup();
-    optf.before_stage = [&calls_f] { ++calls_f; };
+    step_options opt1;
+    opt1.eos = eos;
+    opt1.omega = {0, 0, 0.3};
+    opt1.pool = &p1;
+    opt1.gravity = g1.lookup();
+    opt1.before_stage = [&calls_1] { ++calls_1; };
+    step_options opt4 = opt1;
+    opt4.pool = &p4;
+    opt4.gravity = g4.lookup();
+    opt4.before_stage = [&calls_4] { ++calls_4; };
 
     const int steps = 3;
     for (int s = 0; s < steps; ++s) {
-        const double dtb = step(tb, optb);
-        const double dtf = step(tf, optf);
-        EXPECT_EQ(dtb, dtf);
+        const double dt1 = step(t1, opt1);
+        const double dt4 = step(t4, opt4);
+        EXPECT_EQ(dt1, dt4);
     }
-    EXPECT_EQ(max_field_rel_diff(tb, tf), 0.0);
-    // before_stage runs once per RK stage on both schedules.
-    EXPECT_EQ(calls_b, 2 * steps);
-    EXPECT_EQ(calls_f, 2 * steps);
+    EXPECT_EQ(max_field_rel_diff(t1, t4), 0.0);
+    // before_stage runs once per RK stage at either worker count.
+    EXPECT_EQ(calls_1, 2 * steps);
+    EXPECT_EQ(calls_4, 2 * steps);
 }
 
 TEST(Ablations, LedgerClosesOnDefaultSimdFuturizedPath) {
     // The conservation ledger (mass, momentum, angular momentum) must close
-    // to rounding on the DEFAULT path — SIMD pencil kernels + futurized
-    // schedule — across coarse-fine boundaries (refluxing included).
+    // to rounding on the DEFAULT path — SIMD pencil kernels at the default
+    // pack width — across coarse-fine boundaries (refluxing included).
     phys::ideal_gas_eos eos(1.4);
     tree t(unit_root());
     refine_amr(t);
     init_state(t, [&](const dvec3& r) { return blob_ic(r, eos); });
     const totals before = compute_totals(t);
-    step_options opt; // defaults: use_simd = true, futurized = true
+    step_options opt; // defaults: simd_width = 0 (default pack width)
     opt.eos = eos;
     for (int s = 0; s < 3; ++s) (void)step(t, opt);
     const totals after = compute_totals(t);

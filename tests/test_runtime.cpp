@@ -396,9 +396,9 @@ TEST(Apex, PeerDeathCountersSurfaceInTheRegistry) {
 }
 
 TEST(Apex, HydroStepRegistersPipelineCounters) {
-    // The futurized hydro step must publish its task-graph counters: the
-    // number of pipeline tasks, the per-leaf CFL reduction tasks, the SIMD
-    // lane width gauge, and the ghost-fill/compute overlap gauge.
+    // The hydro step must publish its task-graph counters: the number of
+    // pipeline tasks, the per-leaf CFL reduction tasks, the SIMD lane width
+    // gauge, and the ghost-fill/compute overlap gauge.
     auto& reg = apex_registry::instance();
     reg.reset();
 
@@ -419,7 +419,7 @@ TEST(Apex, HydroStepRegistersPipelineCounters) {
                         eos.tau_from_internal(1.0);
                 }
     }
-    hydro::step_options opt; // defaults: use_simd + futurized
+    hydro::step_options opt; // default pack width
     opt.eos = eos;
     (void)hydro::step(t, opt);
 
@@ -433,14 +433,11 @@ TEST(Apex, HydroStepRegistersPipelineCounters) {
     // The overlap gauge is a percentage.
     EXPECT_LE(reg.counter("hydro.ghost_overlap_fraction"), 100u);
 
-    // The scalar/barriered ablation path reports lane width 1 and posts no
-    // pipeline tasks beyond the CFL reduction.
+    // The width-1 (scalar) kernels report lane width 1.
     reg.reset();
-    opt.use_simd = false;
-    opt.futurized = false;
+    opt.simd_width = 1;
     (void)hydro::step(t, opt);
     EXPECT_EQ(reg.counter("hydro.simd_width"), 1u);
-    EXPECT_EQ(reg.counter("hydro.stage_tasks"), 0u);
     EXPECT_EQ(reg.counter("hydro.cfl_tasks"), leaves);
 }
 
