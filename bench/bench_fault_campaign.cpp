@@ -6,12 +6,15 @@
 //
 //   ./bench_fault_campaign [seeds] [parcels] [loss%]
 //
+// Arguments are whole integers (loss% in 0..60); anything else exits 2 with
+// a usage line.
+//
 // Every row is replayable: the seed fully determines the fault schedule.
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 
+#include "bench_args.hpp"
 #include "dist/locality.hpp"
 #include "net/faulty.hpp"
 #include "net/parcelport.hpp"
@@ -80,12 +83,15 @@ void report(const char* label, std::uint64_t seed, int parcels,
                 r.ok ? "delivered exactly-once" : "FAILED");
 }
 
+constexpr const char* usage =
+    "[seeds 1..1000] [parcels 1..10000000] [loss% 0..60]";
+
 } // namespace
 
 int main(int argc, char** argv) {
-    const int seeds = argc > 1 ? std::atoi(argv[1]) : 3;
-    const int parcels = argc > 2 ? std::atoi(argv[2]) : 2000;
-    const double loss = argc > 3 ? std::atof(argv[3]) / 100.0 : 0.10;
+    const int seeds = bench::int_arg(argc, argv, 1, 3, 1, 1000, usage);
+    const int parcels = bench::int_arg(argc, argv, 2, 2000, 1, 10000000, usage);
+    const double loss = bench::int_arg(argc, argv, 3, 10, 0, 60, usage) / 100.0;
 
     std::printf("=== Seeded fault campaign: %d parcels, %.0f%% loss/dup, "
                 "%d seeds ===\n\n",

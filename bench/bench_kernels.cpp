@@ -7,7 +7,11 @@
 // (kernel/autotune.hpp), so production runs with `autotune = true` start at
 // the tuned geometry; per-(kernel, backend, width/tile) GFLOP/s land in
 // BENCH_kernels.json. Exits nonzero if any tuned configuration loses to the
-// fixed default it replaces.
+// fixed default it replaces, or (on builds with >= 256-bit vectors) if the
+// default-width monopole kernel is not clearly faster than its width-1
+// instantiation from the same run — the sign that 1/|r| fell back to a
+// lane-at-a-time loop. Each FMM kernel's rate is also reported as a fraction
+// of a single-core FMA-peak loop timed in the same run (the roofline gap).
 
 #include <algorithm>
 #include <cmath>
@@ -125,9 +129,47 @@ double measure_gflops(double flops_per_call, const std::function<void()>& body) 
     return static_cast<double>(reps) * flops_per_call / secs / 1e9;
 }
 
+/// Lanes of one hardware vector register on this build.
+#if defined(__AVX512F__)
+constexpr std::size_t reg_lanes = 8;
+#elif defined(__AVX__)
+constexpr std::size_t reg_lanes = 4;
+#else
+constexpr std::size_t reg_lanes = 2;
+#endif
+
+/// Single-core FMA throughput: eight independent register-wide multiply-add
+/// chains (FMA latency x issue ports on current x86 cores), timed like the
+/// kernels. The roofline reference for the kernel rates.
+double fma_peak_gflops() {
+    using P = simd::pack<double, reg_lanes>;
+    constexpr int iters = 4096;
+    volatile double opaque = 0.999999; // keeps the chains from folding
+    const P mul(opaque), add(1e-7);
+    double sink = 0.0;
+    const double flops = 2.0 * 8 * static_cast<double>(reg_lanes) * iters;
+    const double gf = measure_gflops(flops, [&] {
+        P a0(1.0), a1(1.1), a2(1.2), a3(1.3), a4(1.4), a5(1.5), a6(1.6), a7(1.7);
+        for (int i = 0; i < iters; ++i) {
+            a0 = a0 * mul + add;
+            a1 = a1 * mul + add;
+            a2 = a2 * mul + add;
+            a3 = a3 * mul + add;
+            a4 = a4 * mul + add;
+            a5 = a5 * mul + add;
+            a6 = a6 * mul + add;
+            a7 = a7 * mul + add;
+        }
+        sink += ((a0 + a1) + (a2 + a3) + ((a4 + a5) + (a6 + a7))).hsum();
+    });
+    opaque = sink;
+    return gf;
+}
+
 struct sweep_outcome {
     kernel::tuned_config best;
     double default_gflops = 0.0;
+    double w1_gflops = 0.0; ///< simd policy, width 1, untiled
 };
 
 /// Sweep width x tile for one CPU kernel, print/emit every candidate, store
@@ -156,6 +198,7 @@ sweep_outcome host_sweep(const std::string& key, double flops_per_call,
         c.gflops = measure_gflops(flops_per_call, [&] { run(cfg); });
         const bool is_default = c.width == def_w && c.tile == 0;
         if (is_default) out.default_gflops = c.gflops;
+        if (c.width == 1 && c.tile == 0) out.w1_gflops = c.gflops;
         if (!have_best || c.gflops > out.best.gflops) {
             out.best = c;
             have_best = true;
@@ -194,6 +237,16 @@ sweep_outcome host_sweep(const std::string& key, double flops_per_call,
                 100.0 * (out.best.gflops / out.default_gflops - 1.0));
     return out;
 }
+
+/// Minimum default-width / width-1 monopole rate ratio (see the guard in
+/// main). Measured on one AVX-512 host: 2.2-2.4x with packed sqrt/divide,
+/// 1.1-1.3x with the lane-wise loop. An AVX2 build of the same code (8-lane
+/// packs as two 256-bit halves) measured 1.57x vs 0.57x.
+#if defined(__AVX512F__)
+constexpr double min_monopole_vector_ratio = 1.6;
+#else
+constexpr double min_monopole_vector_ratio = 1.2;
+#endif
 
 } // namespace
 
@@ -270,6 +323,37 @@ int main() {
             ok = false;
         }
     }
+
+    // ---- same-run codegen guard and roofline ---------------------------------
+    // With >= 256-bit vectors the default pack must beat its own width-1
+    // instantiation by a clear margin on the 1/|r|-bound monopole kernel; a
+    // lane-wise sqrt/divide brings the ratio down to about 1.
+    const double mono_vector_ratio = mono.default_gflops / mono.w1_gflops;
+#if defined(__AVX__)
+    const bool guard_applies = true;
+#else
+    const bool guard_applies = false;
+#endif
+    std::printf("codegen guard: fmm.monopole default / w=1 = %.2fx (need >= %.2fx%s)\n",
+                mono_vector_ratio, min_monopole_vector_ratio,
+                guard_applies ? "" : ", not applied: no 256-bit vectors");
+    const bool vectorizes =
+        !guard_applies || mono_vector_ratio >= min_monopole_vector_ratio;
+    if (!vectorizes) {
+        std::printf("FAIL: the default-width monopole kernel does not vectorize\n");
+    }
+    const double peak = fma_peak_gflops();
+    std::printf("roofline: single-core FMA peak %.2f GFLOP/s (%zu-lane registers)\n",
+                peak, reg_lanes);
+    json_value roofline = json_value::object();
+    roofline.add("fma_peak_gflops", peak);
+    for (const auto& [key, o] : {named_outcome{"fmm.monopole", &mono},
+                                 named_outcome{"fmm.multipole", &multi}}) {
+        std::printf("  %-18s default %7.2f GFLOP/s = %5.1f%% of peak\n", key,
+                    o->default_gflops, 100.0 * o->default_gflops / peak);
+        roofline.add(std::string(key) + ".peak_fraction", o->default_gflops / peak);
+    }
+    std::printf("\n");
 
     // ---- per-machine-model aggregation-batch sweep --------------------------
     // The gpu_batch knob feeds the PR-6 aggregation executor; on the modeled
@@ -411,10 +495,16 @@ int main() {
         .add("cache", kernel::global_autotune().path())
         .add("host_sweep", rows)
         .add("tuned", tuned)
+        .add("codegen_guard", json_value::object()
+                                  .add("monopole_vector_ratio", mono_vector_ratio)
+                                  .add("min_ratio", min_monopole_vector_ratio)
+                                  .add("applied", guard_applies)
+                                  .add("passed", vectorizes))
+        .add("roofline", roofline)
         .add("machines", jmachines)
         .add("tuned_beats_default", ok);
     octo::support::write_bench_json("BENCH_kernels.json", root);
     std::printf("wrote BENCH_kernels.json (autotune cache: %s)\n",
                 kernel::global_autotune().path().c_str());
-    return ok ? 0 : 1;
+    return ok && vectorizes ? 0 : 1;
 }

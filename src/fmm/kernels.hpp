@@ -12,10 +12,10 @@
 //     expansion, with the optional angular-momentum-conserving force term.
 //
 // Both are function templates over the value type T: instantiated with
-// simd::pack<double,4> for the vectorized CPU path and plain double for the
-// scalar path that stands in for the CUDA kernel (paper §5.1: "we can simply
-// instance the same function template with scalar datatypes and call it
-// within the GPU kernel").
+// simd::dpack (pack<double, default_width>, 8 lanes) for the vectorized CPU
+// path and plain double for the scalar path that stands in for the CUDA
+// kernel (paper §5.1: "we can simply instance the same function template
+// with scalar datatypes and call it within the GPU kernel").
 //
 // Conservation (paper §4.2/§4.3): pair interactions are evaluated from both
 // sides with bitwise-mirrored arithmetic (the Green's-function derivatives

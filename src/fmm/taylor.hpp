@@ -36,21 +36,25 @@ inline constexpr int n_taylor = 20;
 //   [4..9]     : d2 phi (xx, xy, xz, yy, yz, zz)
 //   [10..19]   : d3 phi (xxx, xxy, xxz, xyy, xyz, xzz, yyy, yyz, yzz, zzz)
 
+// The index tables are namespace-scope constants, not locals of idx2/idx3:
+// GCC materializes a function-local constexpr array on the stack at every
+// call, which keeps the triangular loops in greens_d3 rolled and pushes the
+// expansion through memory. At namespace scope each lookup with constant
+// indices folds away, the loops unroll, and D / the accumulators stay in
+// registers.
+inline constexpr int idx2_table[3][3] = {{4, 5, 6}, {5, 7, 8}, {6, 8, 9}};
+
+// Sorted triples over {0,1,2}: 000,001,002,011,012,022,111,112,122,222
+inline constexpr int idx3_table[3][3][3] = {
+    {{10, 11, 12}, {11, 13, 14}, {12, 14, 15}},
+    {{11, 13, 14}, {13, 16, 17}, {14, 17, 18}},
+    {{12, 14, 15}, {14, 17, 18}, {15, 18, 19}}};
+
 /// Index of the second-derivative coefficient for (i, j), i <= j.
-constexpr int idx2(int i, int j) {
-    constexpr int map[3][3] = {{4, 5, 6}, {5, 7, 8}, {6, 8, 9}};
-    return map[i][j];
-}
+constexpr int idx2(int i, int j) { return idx2_table[i][j]; }
 
 /// Index of the third-derivative coefficient for sorted (i <= j <= k).
-constexpr int idx3(int i, int j, int k) {
-    // Sorted triples over {0,1,2}: 000,001,002,011,012,022,111,112,122,222
-    constexpr int map[3][3][3] = {
-        {{10, 11, 12}, {11, 13, 14}, {12, 14, 15}},
-        {{11, 13, 14}, {13, 16, 17}, {14, 17, 18}},
-        {{12, 14, 15}, {14, 17, 18}, {15, 18, 19}}};
-    return map[i][j][k];
-}
+constexpr int idx3(int i, int j, int k) { return idx3_table[i][j][k]; }
 
 /// Multiplicity of the (i,j) unordered pair when summing over ordered pairs.
 constexpr double mult2(int i, int j) { return i == j ? 1.0 : 2.0; }
@@ -70,8 +74,7 @@ using expansion = std::array<T, n_taylor>;
 ///   out[1..3]    = -x_i / r^3
 ///   out[4..9]    = 3 x_i x_j / r^5 - delta_ij / r^3
 ///   out[10..19]  = -15 x_i x_j x_k / r^7 + 3 (d_ij x_k + d_jk x_i + d_ik x_j)/r^5
-/// Returns the number of floating point operations executed (a compile-time
-/// constant; used for the paper-style FLOP accounting).
+/// Its FLOP count per evaluation is the constant greens_d3_flops below.
 template <class T>
 inline void greens_d3(const T x[3], T r2, expansion<T>& out) {
     using octo::simd::rsqrt;

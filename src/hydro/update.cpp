@@ -18,6 +18,7 @@
 #include "runtime/future.hpp"
 #include "support/aligned.hpp"
 #include "support/assert.hpp"
+#include "support/flops.hpp"
 #include "support/timer.hpp"
 
 namespace octo::hydro {
@@ -653,6 +654,8 @@ double step_futurized(tree& t, const step_options& opt, rt::thread_pool& pool) {
                                      }
                                  }
                                  compute_axis_fluxes(*g, axis, opt, *lf);
+                                 count_flops(kernel_class::hydro, exec_site::cpu,
+                                             flux_sweep_flops);
                                  done.set_value();
                              }));
                 join.push_back(alias(f));

@@ -4,9 +4,9 @@
 // interaction template can be instantiated with vector types on the CPU and
 // with scalar types inside the CUDA kernel (paper §5.1). `octo::simd::pack`
 // plays exactly that role here: the FMM and hydro kernels are templates over
-// the value type and are instantiated with `pack<double, 4>` for the
-// vectorized CPU path and with plain `double` for the scalar / simulated-GPU
-// path.
+// the value type and are instantiated with `pack<double, default_width>`
+// (8 lanes) for the vectorized CPU path and with plain `double` for the
+// scalar / simulated-GPU path.
 //
 // Storage is the compiler's native vector type (GCC/Clang `vector_size`),
 // so arithmetic, comparisons and blends map directly onto packed SIMD
@@ -20,6 +20,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <ostream>
+#include <type_traits>
+
+#if defined(__SSE2__)
+#include <immintrin.h>
+#endif
 
 namespace octo::simd {
 
@@ -128,21 +133,58 @@ class pack {
     vec v_;
 };
 
-/// sqrt applied lane-wise.
+namespace detail {
+
+/// Square root of every lane of a native vector. For double packs whose
+/// width matches a vector register of the target this is one packed sqrt
+/// instruction; elsewhere it falls back to the lane loop. A lane loop over
+/// std::sqrt cannot vectorize without -fno-math-errno (every lane keeps its
+/// errno fallback call), so the intrinsics are what makes the FMM 1/|r| a
+/// vector operation. IEEE sqrt is correctly rounded, so every path returns
+/// the same bits as std::sqrt lane by lane.
 template <class T, std::size_t W>
-pack<T, W> sqrt(pack<T, W> a) {
-    pack<T, W> r;
-    for (std::size_t i = 0; i < W; ++i) r.set(i, std::sqrt(a[i]));
-    return r;
+native_t<T, W> vsqrt(native_t<T, W> v) {
+    if constexpr (std::is_same_v<T, double>) {
+#if defined(__AVX512F__)
+        // The masked form: plain _mm512_sqrt_pd trips a GCC 12
+        // -Wuninitialized false positive inside avx512fintrin.h.
+        if constexpr (W == 8) return _mm512_maskz_sqrt_pd(0xFF, v);
+#endif
+#if defined(__AVX__)
+        if constexpr (W == 4) return _mm256_sqrt_pd(v);
+#if !defined(__AVX512F__)
+        if constexpr (W == 8) {
+            const native_t<double, 4> lo = _mm256_sqrt_pd(
+                __builtin_shufflevector(v, v, 0, 1, 2, 3));
+            const native_t<double, 4> hi = _mm256_sqrt_pd(
+                __builtin_shufflevector(v, v, 4, 5, 6, 7));
+            return __builtin_shufflevector(lo, hi, 0, 1, 2, 3, 4, 5, 6, 7);
+        }
+#endif
+#endif
+#if defined(__SSE2__)
+        if constexpr (W == 2) return _mm_sqrt_pd(v);
+#endif
+    }
+    for (std::size_t i = 0; i < W; ++i) v[i] = std::sqrt(v[i]);
+    return v;
 }
 
-/// 1/sqrt applied lane-wise. The FMM interaction kernels are dominated by
-/// this operation (computing 1/|d| for each cell pair).
+} // namespace detail
+
+/// sqrt applied lane-wise (bit-identical to std::sqrt per lane).
+template <class T, std::size_t W>
+pack<T, W> sqrt(pack<T, W> a) {
+    return pack<T, W>::from_native(detail::vsqrt<T, W>(a.native()));
+}
+
+/// 1/sqrt applied lane-wise: one vector sqrt and one vector divide, both
+/// correctly rounded, so each lane equals T{1} / std::sqrt(a[i]) exactly. The
+/// FMM interaction kernels are dominated by this operation (computing 1/|d|
+/// for each cell pair).
 template <class T, std::size_t W>
 pack<T, W> rsqrt(pack<T, W> a) {
-    pack<T, W> r;
-    for (std::size_t i = 0; i < W; ++i) r.set(i, T{1} / std::sqrt(a[i]));
-    return r;
+    return pack<T, W>(T{1}) / sqrt(a);
 }
 
 template <class T, std::size_t W>

@@ -23,6 +23,7 @@
 #include "runtime/latch.hpp"
 #include "runtime/thread_pool.hpp"
 #include "simd/pack.hpp"
+#include "support/flops.hpp"
 
 namespace {
 
@@ -398,9 +399,11 @@ TEST(Apex, PeerDeathCountersSurfaceInTheRegistry) {
 TEST(Apex, HydroStepRegistersPipelineCounters) {
     // The hydro step must publish its task-graph counters: the number of
     // pipeline tasks, the per-leaf CFL reduction tasks, the SIMD lane width
-    // gauge, and the ghost-fill/compute overlap gauge.
+    // gauge, and the ghost-fill/compute overlap gauge. Flux sweeps that run
+    // inline on the CPU (no aggregation executor) must count their FLOPs.
     auto& reg = apex_registry::instance();
     reg.reset();
+    const auto hydro_flops0 = flop_snapshot(kernel_class::hydro);
 
     amr::box_geometry root;
     root.origin = {0, 0, 0};
@@ -432,6 +435,9 @@ TEST(Apex, HydroStepRegistersPipelineCounters) {
               static_cast<std::uint64_t>(octo::simd::default_width));
     // The overlap gauge is a percentage.
     EXPECT_LE(reg.counter("hydro.ghost_overlap_fraction"), 100u);
+    const auto hydro_flops1 = flop_snapshot(kernel_class::hydro);
+    EXPECT_GT(hydro_flops1.cpu_flops, hydro_flops0.cpu_flops);
+    EXPECT_EQ(hydro_flops1.gpu_flops, hydro_flops0.gpu_flops);
 
     // The width-1 (scalar) kernels report lane width 1.
     reg.reset();

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <thread>
 #include <vector>
@@ -265,13 +268,65 @@ TEST(Simd, HorizontalSum) {
     EXPECT_DOUBLE_EQ(octo::simd::hsum(dpack::load(in)), expect);
 }
 
-TEST(Simd, RsqrtMatchesScalar) {
-    alignas(64) double in[dpack::size()];
+// simd::sqrt / simd::rsqrt must return exactly the bits of the lane-wise
+// std::sqrt(x) and 1.0 / std::sqrt(x) at every width, whichever instruction
+// set the build targets (packed sqrt intrinsics or the lane-loop fallback).
+// Inputs: log-uniform values over 1e-300..1e300, subnormals, signed zeros
+// (rsqrt(+0) = +inf) and +inf; negative inputs only need to give NaN.
+std::vector<double> sqrt_inputs() {
+    std::vector<double> in = {0.0,
+                              -0.0,
+                              std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::denorm_min(),
+                              1e-310,
+                              2.5e-320,
+                              std::numeric_limits<double>::min(),
+                              std::numeric_limits<double>::max(),
+                              1.0,
+                              2.0};
     octo::xoshiro256 rng(9);
-    for (std::size_t i = 0; i < dpack::size(); ++i) in[i] = rng.uniform(0.1, 100.0);
-    const auto r = octo::simd::rsqrt(dpack::load(in));
-    for (std::size_t i = 0; i < dpack::size(); ++i) {
-        EXPECT_DOUBLE_EQ(r[i], octo::simd::rsqrt(in[i]));
+    for (int i = 0; i < 2000; ++i) {
+        in.push_back(std::pow(10.0, rng.uniform(-300.0, 300.0)));
+    }
+    return in;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+template <std::size_t W>
+void expect_sqrt_bits(const std::vector<double>& in) {
+    using P = octo::simd::pack<double, W>;
+    for (std::size_t b = 0; b < in.size(); b += W) {
+        P a;
+        for (std::size_t l = 0; l < W; ++l) a.set(l, in[(b + l) % in.size()]);
+        const P s = octo::simd::sqrt(a);
+        const P r = octo::simd::rsqrt(a);
+        for (std::size_t l = 0; l < W; ++l) {
+            const double x = a[l];
+            EXPECT_EQ(bits(s[l]), bits(std::sqrt(x)))
+                << "W=" << W << " sqrt(" << x << ")";
+            EXPECT_EQ(bits(r[l]), bits(1.0 / std::sqrt(x)))
+                << "W=" << W << " rsqrt(" << x << ")";
+        }
+    }
+    for (const double neg : {-1.0, -1e-300, -std::numeric_limits<double>::infinity()}) {
+        const P a(neg);
+        for (std::size_t l = 0; l < W; ++l) {
+            EXPECT_TRUE(std::isnan(octo::simd::sqrt(a)[l])) << "W=" << W;
+            EXPECT_TRUE(std::isnan(octo::simd::rsqrt(a)[l])) << "W=" << W;
+        }
+    }
+}
+
+TEST(Simd, RsqrtMatchesScalar) {
+    const auto in = sqrt_inputs();
+    expect_sqrt_bits<1>(in);
+    expect_sqrt_bits<2>(in);
+    expect_sqrt_bits<4>(in);
+    expect_sqrt_bits<8>(in);
+    // The scalar counterpart the kernel templates bind for T = double.
+    for (const double x : in) {
+        EXPECT_EQ(bits(octo::simd::rsqrt(x)), bits(1.0 / std::sqrt(x)));
     }
 }
 
@@ -284,7 +339,15 @@ TEST(Simd, MinMax) {
 TEST(Simd, SqrtLaneWise) {
     dpack a(16.0);
     const auto r = octo::simd::sqrt(a);
-    for (std::size_t i = 0; i < dpack::size(); ++i) EXPECT_DOUBLE_EQ(r[i], 4.0);
+    for (std::size_t i = 0; i < dpack::size(); ++i) EXPECT_EQ(bits(r[i]), bits(4.0));
+    // Distinct lanes stay in their lanes.
+    for (std::size_t i = 0; i < dpack::size(); ++i) {
+        a.set(i, static_cast<double>((i + 1) * (i + 1)));
+    }
+    const auto q = octo::simd::sqrt(a);
+    for (std::size_t i = 0; i < dpack::size(); ++i) {
+        EXPECT_EQ(bits(q[i]), bits(static_cast<double>(i + 1)));
+    }
 }
 
 // The kernel-template trick from paper §5.1: the same function template must
