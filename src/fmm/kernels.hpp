@@ -5,11 +5,18 @@
 //
 //   * monopole_kernel: leaf receiver cells interacting with leaf partner
 //     cells (point masses at cell centers) — the cheap, 1/r^3 central-force
-//     kernel (paper: 12 flops/interaction).
+//     kernel (paper: 12 flops/interaction). Table-driven: between two leaves
+//     the separation is exactly -d h for stencil offset d and cell width h,
+//     so each stencil element carries its unit-spacing Green's terms
+//     (stencil_element::unit_green) and the kernel sums m * table, scaling
+//     by 1/h and 1/h^2 once per cell block — no root or divide per pair.
 //   * multipole_kernel: the combined kernel — any receiver interacting with
 //     partner cells carrying multipole moments, or multipole receivers with
 //     monopole partners (partner moments zero). Computes the order-3 local
 //     expansion, with the optional angular-momentum-conserving force term.
+//     The body is compiled per am_mode and per pair_class, so the
+//     interaction loop neither tests the conservation mode nor computes
+//     terms of second moments the launch cannot have.
 //
 // Both are function templates over the value type T: instantiated with
 // simd::dpack (pack<double, default_width>, 8 lanes) for the vectorized CPU
@@ -17,9 +24,10 @@
 // kernel (paper §5.1: "we can simply instance the same function template
 // with scalar datatypes and call it within the GPU kernel").
 //
-// Conservation (paper §4.2/§4.3): pair interactions are evaluated from both
-// sides with bitwise-mirrored arithmetic (the Green's-function derivatives
-// are exactly odd/even in x), so accumulated forces are antisymmetric to
+// Conservation (paper §4.2/§4.3): leaf-leaf pair forces are exactly
+// antisymmetric, because the unit table is odd in d bit for bit. Multipole
+// pairs are evaluated from both sides with Green's-function derivatives
+// that are odd/even in x, so their accumulated forces are antisymmetric to
 // rounding. In conserving mode the non-central component of the
 // second-moment force is projected onto the line between the centers of
 // mass, making the pair torque vanish identically — our substitution for
@@ -59,9 +67,22 @@ enum class am_mode {
     spin_deposit
 };
 
+/// Which sides of a multipole launch carry second moments. Leaf cells have
+/// q == 0 (solver::compute_leaf_moments), so the node types of a launch fix
+/// this, and the kernel skips every term that would multiply a zero q.
+/// Leaf-leaf launches use the monopole kernel, so there is no fourth class.
+enum class pair_class {
+    refined_refined, ///< refined receiver, refined partners: the full body
+    refined_leaf,    ///< refined receiver, leaf partners: partner q == 0
+    leaf_refined     ///< leaf receiver (q == 0), refined partners
+};
+
 struct kernel_options {
     bool use_inner_mask = false;          ///< skip |d|^2<=8 (refined-refined)
     am_mode conserve = am_mode::spin_deposit;
+    /// Multipole kernel only. A class other than refined_refined promises
+    /// that the omitted second moments are zero; the kernel does not check.
+    pair_class pairs = pair_class::refined_refined;
     /// Stencil to apply; nullptr means the regular 1074-element stencil.
     /// The root node passes its full stencil (no parent to defer to).
     const std::vector<stencil_element>* stencil = nullptr;

@@ -69,6 +69,9 @@ struct partner_buffer {
     aligned_vector<double> x, y, z; // centers of mass (default: cell centers)
     aligned_vector<double> q[6];
     bool any = false; ///< whether any partner cell has nonzero mass
+    /// Cell width of the receiver's level. The monopole kernel derives every
+    /// separation from it (-d h for stencil offset d) and requires h > 0.
+    double h = 0.0;
 
     // Inclusive bounding box (in padded coordinates) of the cells holding
     // nonzero mass. Defaults to the full padded region, so buffers filled

@@ -156,9 +156,11 @@ void solver::fill_buffer_region(tree& t, node_key nb, const ivec3& off,
 namespace {
 
 /// Initialize a buffer's partner positions to the geometric cell centers of
-/// the padded region so that distances are never zero for empty cells.
+/// the padded region so that distances are never zero for empty cells, and
+/// record the level's cell width for the table-driven monopole kernel.
 void init_buffer_geometry(const box_geometry& geom, partner_buffer& buf) {
     constexpr int R = partner_buffer::reach;
+    buf.h = geom.dx;
     for (int i = -R; i < INX + R; ++i)
         for (int j = -R; j < INX + R; ++j)
             for (int k = -R; k < INX + R; ++k) {
@@ -245,6 +247,7 @@ void solver::same_level(tree& t, node_key k, std::vector<rt::future<void>>& pend
         if (self_refined) {
             // multipole-monopole (merged kernel; partner moments are zero)
             s.kc = kernel_class::fmm_multipole;
+            s.opt.pairs = pair_class::refined_leaf;
             s.monopole_math = false;
             s.flops = stencil_interactions(*stencil, false) *
                       multi_flops_per_interaction;
@@ -265,6 +268,9 @@ void solver::same_level(tree& t, node_key k, std::vector<rt::future<void>>& pend
         s.opt.use_inner_mask = self_refined;
         s.kc = self_refined ? kernel_class::fmm_multipole
                             : kernel_class::fmm_monopole_multipole;
+        // A leaf receiver's own moments are monopoles (q == 0).
+        s.opt.pairs = self_refined ? pair_class::refined_refined
+                                   : pair_class::leaf_refined;
         s.monopole_math = false;
         s.flops = stencil_interactions(*stencil, s.opt.use_inner_mask) *
                   multi_flops_per_interaction;
@@ -301,7 +307,7 @@ void solver::same_level(tree& t, node_key k, std::vector<rt::future<void>>& pend
             const kernel::exec_config gcfg{kernel::backend_kind::gpu, 1, 0};
             for (const auto& s : *batch) {
                 if (s.monopole_math) {
-                    kernel::run_fmm_monopole(gcfg, self_mom, *s.buf, s.opt, out);
+                    kernel::run_fmm_monopole(gcfg, *s.buf, s.opt, out);
                 } else {
                     kernel::run_fmm_multipole(gcfg, self_mom, self_invm, *s.buf,
                                               s.opt, out);
@@ -320,7 +326,7 @@ void solver::same_level(tree& t, node_key k, std::vector<rt::future<void>>& pend
     for (auto& s : launches) {
         count_launch(s.kc, exec_site::cpu);
         if (s.monopole_math) {
-            kernel::run_fmm_monopole(mono_cfg_, self_mom, *s.buf, s.opt, out);
+            kernel::run_fmm_monopole(mono_cfg_, *s.buf, s.opt, out);
         } else {
             kernel::run_fmm_multipole(multi_cfg_, self_mom, self_invm, *s.buf,
                                       s.opt, out);

@@ -8,6 +8,18 @@ namespace {
 
 constexpr int well_separated_sq = 8; // |p|^2 > 8 => parents well separated
 
+stencil_element make_element(int dx, int dy, int dz, std::uint8_t mask) {
+    const int d2 = dx * dx + dy * dy + dz * dz;
+    const double rinv = 1.0 / std::sqrt(static_cast<double>(d2));
+    const double rinv3 = rinv * rinv * rinv;
+    return {static_cast<std::int8_t>(dx),
+            static_cast<std::int8_t>(dy),
+            static_cast<std::int8_t>(dz),
+            d2 <= well_separated_sq,
+            mask,
+            {rinv, -dx * rinv3, -dy * rinv3, -dz * rinv3}};
+}
+
 std::vector<stencil_element> build_stencil() {
     std::vector<stencil_element> out;
     for (int dx = -8; dx <= 8; ++dx) {
@@ -31,10 +43,7 @@ std::vector<stencil_element> build_stencil() {
                             }
                         }
                 if (mask == 0) continue;
-                const bool inner = dx * dx + dy * dy + dz * dz <= well_separated_sq;
-                out.push_back({static_cast<std::int8_t>(dx),
-                               static_cast<std::int8_t>(dy),
-                               static_cast<std::int8_t>(dz), inner, mask});
+                out.push_back(make_element(dx, dy, dz, mask));
             }
         }
     }
@@ -68,13 +77,9 @@ const std::vector<stencil_element>& root_stencil() {
             for (int dy = -7; dy <= 7; ++dy)
                 for (int dz = -7; dz <= 7; ++dz) {
                     if (dx == 0 && dy == 0 && dz == 0) continue;
-                    const bool inner =
-                        dx * dx + dy * dy + dz * dz <= well_separated_sq;
                     // The root owns every pair not deferred to its children:
                     // all parities included.
-                    out.push_back({static_cast<std::int8_t>(dx),
-                                   static_cast<std::int8_t>(dy),
-                                   static_cast<std::int8_t>(dz), inner, 0xff});
+                    out.push_back(make_element(dx, dy, dz, 0xff));
                 }
         return out;
     }();

@@ -13,6 +13,7 @@
 // partner is a leaf there is no finer level and the pair is computed here.
 // This makes every cell pair in the tree interact exactly once.
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -37,6 +38,14 @@ struct stencil_element {
     /// on the level that owns it — the exactly-once property the
     /// correctness tests verify.
     std::uint8_t parity_mask;
+    /// Unit-spacing monopole Green's terms of the pair separation -d:
+    /// {1/|d|, -dx/|d|^3, -dy/|d|^3, -dz/|d|^3}. Between two leaves (centers
+    /// of mass at the cell centers, no periodic wrap) the separation is
+    /// exactly -d h, so the monopole kernel scales sums of m * unit_green by
+    /// 1/h and 1/h^2 instead of taking a root and a divide per pair. The
+    /// table is odd in d, bit for bit, so pair forces are exactly
+    /// antisymmetric.
+    std::array<double, 4> unit_green;
 };
 
 /// The full same-level stencil; size() == 1074.

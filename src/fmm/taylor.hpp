@@ -16,11 +16,9 @@
 // with double for the scalar (simulated-GPU) kernels — the Vc/CUDA trick of
 // paper §5.1.
 
-#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 
 #include "simd/pack.hpp"
 #include "support/vec3.hpp"
@@ -50,10 +48,32 @@ inline constexpr int idx3_table[3][3][3] = {
     {{11, 13, 14}, {13, 16, 17}, {14, 17, 18}},
     {{12, 14, 15}, {14, 17, 18}, {15, 18, 19}}};
 
-/// Index of the second-derivative coefficient for (i, j), i <= j.
+// Both tables are invariant under every permutation of their indices, so a
+// lookup needs no sorted index. The kernels rely on this: sorting (i, j, k)
+// with swaps before the lookup produces an index GCC cannot fold, which
+// pushes the unrolled expansion back through the stack.
+constexpr bool index_tables_symmetric() {
+    for (int i = 0; i < 3; ++i)
+        for (int j = 0; j < 3; ++j) {
+            if (idx2_table[i][j] != idx2_table[j][i]) return false;
+            for (int k = 0; k < 3; ++k) {
+                const int v = idx3_table[i][j][k];
+                if (v != idx3_table[i][k][j] || v != idx3_table[j][i][k] ||
+                    v != idx3_table[j][k][i] || v != idx3_table[k][i][j] ||
+                    v != idx3_table[k][j][i]) {
+                    return false;
+                }
+            }
+        }
+    return true;
+}
+static_assert(index_tables_symmetric(),
+              "idx2_table/idx3_table must be invariant under index permutations");
+
+/// Index of the second-derivative coefficient for (i, j), in any order.
 constexpr int idx2(int i, int j) { return idx2_table[i][j]; }
 
-/// Index of the third-derivative coefficient for sorted (i <= j <= k).
+/// Index of the third-derivative coefficient for (i, j, k), in any order.
 constexpr int idx3(int i, int j, int k) { return idx3_table[i][j][k]; }
 
 /// Multiplicity of the (i,j) unordered pair when summing over ordered pairs.
@@ -140,16 +160,10 @@ template <class T>
 void evaluate_gradient(const expansion<T>& L, const T delta[3], T out[3]) {
     for (int i = 0; i < 3; ++i) {
         T g = L[1 + i];
-        for (int j = 0; j < 3; ++j) {
-            g = g + L[idx2(std::min(i, j), std::max(i, j))] * delta[j];
-        }
+        for (int j = 0; j < 3; ++j) g = g + L[idx2(i, j)] * delta[j];
         for (int j = 0; j < 3; ++j)
             for (int k = j; k < 3; ++k) {
-                int a = i, b = j, c = k; // sort (a,b,c)
-                if (a > b) std::swap(a, b);
-                if (b > c) std::swap(b, c);
-                if (a > b) std::swap(a, b);
-                g = g + T(0.5 * mult2(j, k)) * L[idx3(a, b, c)] * delta[j] * delta[k];
+                g = g + T(0.5 * mult2(j, k)) * L[idx3(i, j, k)] * delta[j] * delta[k];
             }
         out[i] = g;
     }
@@ -167,13 +181,7 @@ void shift_expansion(const expansion<T>& src, const T delta[3], expansion<T>& ds
     for (int i = 0; i < 3; ++i)
         for (int j = i; j < 3; ++j) {
             T v = src[idx2(i, j)];
-            for (int k = 0; k < 3; ++k) {
-                int a = i, b = j, c = k;
-                if (a > b) std::swap(a, b);
-                if (b > c) std::swap(b, c);
-                if (a > b) std::swap(a, b);
-                v = v + src[idx3(a, b, c)] * delta[k];
-            }
+            for (int k = 0; k < 3; ++k) v = v + src[idx3(i, j, k)] * delta[k];
             dst[idx2(i, j)] = dst[idx2(i, j)] + v;
         }
     for (int t = 10; t < n_taylor; ++t) dst[t] = dst[t] + src[t];

@@ -9,7 +9,9 @@
 #include "kernel/fmm.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "fmm/stencil.hpp"
@@ -31,6 +33,7 @@ using fmm::mult2;
 using fmm::n_taylor;
 using fmm::node_gravity;
 using fmm::node_moments;
+using fmm::pair_class;
 using fmm::partner_buffer;
 using fmm::stencil_element;
 
@@ -87,8 +90,9 @@ bool any_lane_nonzero(const T& f) {
 template <class T>
 struct parity_lists {
     struct item {
-        std::int32_t offset; ///< flat partner-buffer offset of the element
-        T factor;            ///< per-lane parity inclusion factor
+        std::int32_t offset;                ///< flat partner-buffer offset
+        std::array<double, 4> unit_green;   ///< stencil_element::unit_green
+        T factor;                           ///< per-lane parity inclusion factor
     };
     std::vector<item> lists[8]; ///< indexed by (i&1) | ((j&1)<<1) | ((k0&1)<<2)
 };
@@ -122,7 +126,8 @@ const parity_lists<T>& active_parity_lists(const std::vector<stencil_element>& s
                 for (int pi = 0; pi < 2; ++pi) {
                     const T f = parity_factor<T>(e.parity_mask, pi, pj, pk);
                     if (!any_lane_nonzero(f)) continue;
-                    pl.lists[pi | (pj << 1) | (pk << 2)].push_back({offset, f});
+                    pl.lists[pi | (pj << 1) | (pk << 2)].push_back(
+                        {offset, e.unit_green, f});
                 }
     }
     return pl;
@@ -136,14 +141,24 @@ inline int row_tile(int tile) {
     return tile > 0 ? std::min(tile, nrows) : nrows;
 }
 
+/// Leaf-leaf monopole interactions. Both sides are leaves, so every center
+/// of mass is its cell center and the pair separation is exactly -d h: the
+/// body sums m_B * unit_green over the stencil and scales the sums by 1/h
+/// (potential) and 1/h^2 (gradient) once per cell block. It reads no
+/// positions.
 template <class T>
-void monopole_body(const node_moments& self, const partner_buffer& partners,
-                   const kernel_options& opt, int tile, node_gravity& out) {
+void monopole_body(const partner_buffer& partners, const kernel_options& opt, int tile,
+                   node_gravity& out) {
     constexpr int W = lane_count<T>::value;
     static_assert(INX % W == 0 || W == 1);
     OCTO_ASSERT_MSG(opt.stencil != nullptr,
                     "kernel layer requires an explicit stencil");
+    OCTO_ASSERT_MSG(partners.h > 0.0,
+                    "monopole kernel requires the cell width partner_buffer::h");
     const auto& pl = active_parity_lists<T>(*opt.stencil, partners, false);
+    const double hinv = 1.0 / partners.h;
+    const T neg_hinv(-hinv);
+    const T hinv2(hinv * hinv);
 
     const int nrows = INX * INX;
     const int rt = row_tile(tile);
@@ -157,43 +172,43 @@ void monopole_body(const node_moments& self, const partner_buffer& partners,
                 const int base = partner_buffer::index(i, j, k0);
                 const auto& st =
                     pl.lists[(i & 1) | ((j & 1) << 1) | ((k0 & 1) << 2)];
-                const T ax = load_v<T>(&self.com[0][c]);
-                const T ay = load_v<T>(&self.com[1][c]);
-                const T az = load_v<T>(&self.com[2][c]);
 
-                T phi(0.0), l1x(0.0), l1y(0.0), l1z(0.0);
+                // Unit-spacing sums: m/|d| and m (-d)/|d|^3.
+                T m_r(0.0), l1x(0.0), l1y(0.0), l1z(0.0);
 
                 for (const auto& e : st) {
-                    const int p = base + e.offset;
-                    const T mB = load_v<T>(&partners.m[p]) * e.factor;
-                    const T dx = ax - load_v<T>(&partners.x[p]);
-                    const T dy = ay - load_v<T>(&partners.y[p]);
-                    const T dz = az - load_v<T>(&partners.z[p]);
-                    const T r2 = dx * dx + dy * dy + dz * dz;
-                    const T rinv = simd::rsqrt(r2);
-                    const T mrinv = mB * rinv;
-                    const T mrinv3 = mrinv * rinv * rinv;
-                    // phi = -m/r ; dphi/dx_i = +m x_i / r^3 (g = -L1 later)
-                    phi = phi - mrinv;
-                    l1x = l1x + dx * mrinv3;
-                    l1y = l1y + dy * mrinv3;
-                    l1z = l1z + dz * mrinv3;
+                    const T mB = load_v<T>(&partners.m[base + e.offset]) * e.factor;
+                    m_r = m_r + mB * T(e.unit_green[0]);
+                    l1x = l1x + mB * T(e.unit_green[1]);
+                    l1y = l1y + mB * T(e.unit_green[2]);
+                    l1z = l1z + mB * T(e.unit_green[3]);
                 }
-                store_add(&out.L[0][c], phi);
-                store_add(&out.L[1][c], l1x);
-                store_add(&out.L[2][c], l1y);
-                store_add(&out.L[3][c], l1z);
+                // phi = -m/r ; dphi/dx_i = +m x_i / r^3 (g = -L1 later)
+                store_add(&out.L[0][c], m_r * neg_hinv);
+                store_add(&out.L[1][c], l1x * hinv2);
+                store_add(&out.L[2][c], l1y * hinv2);
+                store_add(&out.L[3][c], l1z * hinv2);
             }
         }
     }
 }
 
-template <class T>
+/// Same-level multipole interactions, compiled per conservation mode M and
+/// per pair class C. The class says which sides can carry second moments
+/// (leaf cells have q == 0), so the terms that would multiply a zero q are
+/// not in the loop: refined_leaf launches skip the partner q (its loads,
+/// the potential's Q:D2 term and the plain source-quadrupole force),
+/// leaf_refined launches skip mB * qa.
+template <class T, am_mode M, pair_class C>
 void multipole_body(const node_moments& self, const aligned_vector<double>& self_invm,
                     const partner_buffer& partners, const kernel_options& opt,
                     int tile, node_gravity& out) {
     constexpr int W = lane_count<T>::value;
     static_assert(INX % W == 0 || W == 1);
+    constexpr bool has_qb = C != pair_class::refined_leaf;
+    constexpr bool has_qa = C != pair_class::leaf_refined;
+    constexpr bool central = M == am_mode::central_projection;
+    constexpr bool deposit = M == am_mode::spin_deposit;
     OCTO_ASSERT_MSG(opt.stencil != nullptr,
                     "kernel layer requires an explicit stencil");
     const auto& pl = active_parity_lists<T>(*opt.stencil, partners, opt.use_inner_mask);
@@ -214,9 +229,12 @@ void multipole_body(const node_moments& self, const aligned_vector<double>& self
                 const T ay = load_v<T>(&self.com[1][c]);
                 const T az = load_v<T>(&self.com[2][c]);
                 const T mA = load_v<T>(&self.m[c]);
-                const T invmA = load_v<T>(&self_invm[c]);
+                T invmA(0.0);
+                if constexpr (central) invmA = load_v<T>(&self_invm[c]);
                 T qa[6];
-                for (int t = 0; t < 6; ++t) qa[t] = load_v<T>(&self.q[t][c]);
+                for (int t = 0; t < 6; ++t) {
+                    qa[t] = has_qa ? load_v<T>(&self.q[t][c]) : T(0.0);
+                }
 
                 expansion<T> acc;
                 for (auto& a : acc) a = T(0.0);
@@ -227,7 +245,9 @@ void multipole_body(const node_moments& self, const aligned_vector<double>& self
                     const T& f = e.factor;
                     const T mB = load_v<T>(&partners.m[p]) * f;
                     T qb[6];
-                    for (int t = 0; t < 6; ++t) qb[t] = load_v<T>(&partners.q[t][p]) * f;
+                    for (int t = 0; t < 6; ++t) {
+                        qb[t] = has_qb ? load_v<T>(&partners.q[t][p]) * f : T(0.0);
+                    }
 
                     T x[3];
                     x[0] = ax - load_v<T>(&partners.x[p]);
@@ -239,15 +259,17 @@ void multipole_body(const node_moments& self, const aligned_vector<double>& self
                     greens_d3(x, r2, D);
 
                     // Potential: phi = -(mB D0 + 1/2 QB : D2).
-                    T qd2(0.0);
-                    {
+                    if constexpr (has_qb) {
+                        T qd2(0.0);
                         int t = 0;
                         for (int a = 0; a < 3; ++a)
                             for (int b = a; b < 3; ++b, ++t) {
                                 qd2 = qd2 + T(mult2(a, b)) * qb[t] * D[idx2(a, b)];
                             }
+                        acc[0] = acc[0] - (mB * D[0] + T(0.5) * qd2);
+                    } else {
+                        acc[0] = acc[0] - mB * D[0];
                     }
-                    acc[0] = acc[0] - (mB * D[0] + T(0.5) * qd2);
 
                     // Second-moment force terms.
                     //
@@ -267,26 +289,26 @@ void multipole_body(const node_moments& self, const aligned_vector<double>& self
                     // symmetrized S) and deposits half of its negation at
                     // the receiver — both sides of the pair together cancel
                     // the mechanical torque in the spin ledger.
-                    const bool central = opt.conserve == am_mode::central_projection;
-                    const bool deposit = opt.conserve == am_mode::spin_deposit;
-
+                    //
+                    // tvec is identically zero when it is built from a zero
+                    // partner q (plain source term of a refined_leaf launch).
+                    constexpr bool has_tvec = central || has_qb;
                     T tvec[3], tsym[3];
                     for (int a = 0; a < 3; ++a) tvec[a] = tsym[a] = T(0.0);
-                    {
+                    if constexpr (has_tvec || deposit) {
                         int t = 0;
                         for (int a = 0; a < 3; ++a)
                             for (int b = a; b < 3; ++b, ++t) {
-                                const T s_plain = qb[t];
-                                const T s_sym = mA * qb[t] + mB * qa[t];
-                                const T s = central ? s_sym : s_plain;
+                                T s_sym(0.0);
+                                if constexpr (has_qb) s_sym = mA * qb[t];
+                                if constexpr (has_qa) s_sym = s_sym + mB * qa[t];
+                                const T s = central ? s_sym : qb[t];
                                 for (int d = 0; d < 3; ++d) {
-                                    int u = d, v = a, w = b; // sort (u,v,w)
-                                    if (u > v) std::swap(u, v);
-                                    if (v > w) std::swap(v, w);
-                                    if (u > v) std::swap(u, v);
-                                    const T d3 = D[idx3(u, v, w)];
-                                    tvec[d] = tvec[d] + T(mult2(a, b)) * s * d3;
-                                    if (deposit) {
+                                    const T d3 = D[idx3(d, a, b)];
+                                    if constexpr (has_tvec) {
+                                        tvec[d] = tvec[d] + T(mult2(a, b)) * s * d3;
+                                    }
+                                    if constexpr (deposit) {
                                         tsym[d] =
                                             tsym[d] + T(mult2(a, b)) * s_sym * d3;
                                     }
@@ -294,7 +316,7 @@ void multipole_body(const node_moments& self, const aligned_vector<double>& self
                             }
                     }
                     T half_scale = T(0.5);
-                    if (central) {
+                    if constexpr (central) {
                         // Project onto the line of centers: the pair torque
                         // (xA - xB) x F vanishes identically.
                         const T xt = x[0] * tvec[0] + x[1] * tvec[1] + x[2] * tvec[2];
@@ -302,7 +324,7 @@ void multipole_body(const node_moments& self, const aligned_vector<double>& self
                         for (int a = 0; a < 3; ++a) tvec[a] = x[a] * scale;
                         half_scale = T(0.5) * invmA;
                     }
-                    if (deposit) {
+                    if constexpr (deposit) {
                         // F_net = +(1/2) tsym, pair torque = x cross F_net;
                         // each side owns half of the cancellation:
                         // deposit = -1/4 (x cross tsym).
@@ -314,7 +336,11 @@ void multipole_body(const node_moments& self, const aligned_vector<double>& self
 
                     // dphi/dx_i = -mB D1_i - (1/2) [invmA] t_i.
                     for (int a = 0; a < 3; ++a) {
-                        acc[1 + a] = acc[1 + a] - mB * D[1 + a] - half_scale * tvec[a];
+                        if constexpr (has_tvec) {
+                            acc[1 + a] = acc[1 + a] - mB * D[1 + a] - half_scale * tvec[a];
+                        } else {
+                            acc[1 + a] = acc[1 + a] - mB * D[1 + a];
+                        }
                     }
                     // Higher coefficients: monopole source only.
                     for (int t = 4; t < n_taylor; ++t) {
@@ -326,6 +352,41 @@ void multipole_body(const node_moments& self, const aligned_vector<double>& self
                 for (int a = 0; a < 3; ++a) store_add(&out.tq[a][c], tq_acc[a]);
             }
         }
+    }
+}
+
+/// Run the multipole body compiled for this launch's mode and pair class.
+template <class T>
+void multipole_dispatch(const node_moments& self, const aligned_vector<double>& self_invm,
+                        const partner_buffer& partners, const kernel_options& opt,
+                        int tile, node_gravity& out) {
+    const auto by_class = [&](auto mode) {
+        constexpr am_mode M = decltype(mode)::value;
+        switch (opt.pairs) {
+        case pair_class::refined_refined:
+            multipole_body<T, M, pair_class::refined_refined>(self, self_invm, partners,
+                                                              opt, tile, out);
+            return;
+        case pair_class::refined_leaf:
+            multipole_body<T, M, pair_class::refined_leaf>(self, self_invm, partners,
+                                                           opt, tile, out);
+            return;
+        case pair_class::leaf_refined:
+            multipole_body<T, M, pair_class::leaf_refined>(self, self_invm, partners,
+                                                           opt, tile, out);
+            return;
+        }
+    };
+    switch (opt.conserve) {
+    case am_mode::none:
+        by_class(std::integral_constant<am_mode, am_mode::none>{});
+        return;
+    case am_mode::central_projection:
+        by_class(std::integral_constant<am_mode, am_mode::central_projection>{});
+        return;
+    case am_mode::spin_deposit:
+        by_class(std::integral_constant<am_mode, am_mode::spin_deposit>{});
+        return;
     }
 }
 
@@ -467,11 +528,7 @@ void l2l_body(const node_gravity& parentL, const node_moments& pm,
                                 for (int b = a; b < 3; ++b, ++s2) {
                                     double v = 0;
                                     for (int e = 0; e < 3; ++e) {
-                                        int u = a, v2 = b, w = e;
-                                        if (u > v2) std::swap(u, v2);
-                                        if (v2 > w) std::swap(v2, w);
-                                        if (u > v2) std::swap(u, v2);
-                                        v += src[idx3(u, v2, w)] * d[e];
+                                        v += src[idx3(a, b, e)] * d[e];
                                     }
                                     r.dL2[s2] = v;
                                 }
@@ -545,12 +602,7 @@ void l2l_body(const node_gravity& parentL, const node_moments& pm,
                             for (int b = a; b < 3; ++b, ++s2) {
                                 const double qv = cm.q[s2][cc];
                                 for (int d = 0; d < 3; ++d) {
-                                    int u = d, v = a, w = b;
-                                    if (u > v) std::swap(u, v);
-                                    if (v > w) std::swap(v, w);
-                                    if (u > v) std::swap(u, v);
-                                    tv[d] += mult2(a, b) * qv *
-                                             src[idx3(u, v, w)];
+                                    tv[d] += mult2(a, b) * qv * src[idx3(d, a, b)];
                                 }
                             }
                         const dvec3 F_deep = -0.5 * tv;
@@ -584,17 +636,17 @@ void l2l_body(const node_gravity& parentL, const node_moments& pm,
 // ---- policy wrappers -------------------------------------------------------
 
 template <class Exec>
-void fmm_monopole(const node_moments& self, const partner_buffer& partners,
-                  const kernel_options& opt, int tile, node_gravity& out) {
-    monopole_body<typename Exec::value_type>(self, partners, opt, tile, out);
+void fmm_monopole(const partner_buffer& partners, const kernel_options& opt, int tile,
+                  node_gravity& out) {
+    monopole_body<typename Exec::value_type>(partners, opt, tile, out);
 }
 
 template <class Exec>
 void fmm_multipole(const node_moments& self, const aligned_vector<double>& self_invm,
                    const partner_buffer& partners, const kernel_options& opt,
                    int tile, node_gravity& out) {
-    multipole_body<typename Exec::value_type>(self, self_invm, partners, opt, tile,
-                                              out);
+    multipole_dispatch<typename Exec::value_type>(self, self_invm, partners, opt, tile,
+                                                  out);
 }
 
 template <class Exec>
@@ -617,8 +669,8 @@ void fmm_l2l(const node_gravity& parentL, const node_moments& pm,
 // Explicit instantiations: every policy dispatch() can produce. exec::scalar
 // and exec::gpu both bind T = double, so the bodies compile once for both.
 #define OCTO_KERNEL_FMM_SL(E)                                                      \
-    template void fmm_monopole<E>(const node_moments&, const partner_buffer&,      \
-                                  const kernel_options&, int, node_gravity&);      \
+    template void fmm_monopole<E>(const partner_buffer&, const kernel_options&,    \
+                                  int, node_gravity&);                             \
     template void fmm_multipole<E>(const node_moments&, const aligned_vector<double>&, \
                                    const partner_buffer&, const kernel_options&,   \
                                    int, node_gravity&);
@@ -641,12 +693,9 @@ OCTO_KERNEL_FMM_TREE(exec::gpu)
 
 // ---- runtime dispatch ------------------------------------------------------
 
-void run_fmm_monopole(const exec_config& cfg, const node_moments& self,
-                      const partner_buffer& partners, const kernel_options& opt,
-                      node_gravity& out) {
-    dispatch(cfg, [&](auto ex) {
-        fmm_monopole<decltype(ex)>(self, partners, opt, cfg.tile, out);
-    });
+void run_fmm_monopole(const exec_config& cfg, const partner_buffer& partners,
+                      const kernel_options& opt, node_gravity& out) {
+    dispatch(cfg, [&](auto ex) { fmm_monopole<decltype(ex)>(partners, opt, cfg.tile, out); });
 }
 
 void run_fmm_multipole(const exec_config& cfg, const node_moments& self,

@@ -20,14 +20,17 @@
 
 namespace octo::kernel {
 
-/// Same-level monopole-monopole interactions (paper §4.3). tile = receiver
-/// rows (i,j) per block, processed in row order so any tile is bit-identical
-/// to the untiled kernel; 0 = whole node.
+/// Same-level monopole-monopole interactions between leaves (paper §4.3).
+/// Table-driven: separations are -d h for stencil offset d and cell width
+/// h = partners.h (> 0, asserted), so neither side's positions are read.
+/// tile = receiver rows (i,j) per block, processed in row order so any tile
+/// is bit-identical to the untiled kernel; 0 = whole node.
 template <class Exec>
-void fmm_monopole(const fmm::node_moments& self, const fmm::partner_buffer& partners,
-                  const fmm::kernel_options& opt, int tile, fmm::node_gravity& out);
+void fmm_monopole(const fmm::partner_buffer& partners, const fmm::kernel_options& opt,
+                  int tile, fmm::node_gravity& out);
 
-/// Same-level multipole (and multipole-monopole) interactions.
+/// Same-level multipole (and multipole-monopole) interactions; the body is
+/// compiled per opt.conserve and opt.pairs.
 template <class Exec>
 void fmm_multipole(const fmm::node_moments& self, const aligned_vector<double>& self_invm,
                    const fmm::partner_buffer& partners, const fmm::kernel_options& opt,
@@ -48,8 +51,7 @@ void fmm_l2l(const fmm::node_gravity& parentL, const fmm::node_moments& pm,
 
 // ---- runtime dispatch on an exec_config -----------------------------------
 
-void run_fmm_monopole(const exec_config& cfg, const fmm::node_moments& self,
-                      const fmm::partner_buffer& partners,
+void run_fmm_monopole(const exec_config& cfg, const fmm::partner_buffer& partners,
                       const fmm::kernel_options& opt, fmm::node_gravity& out);
 
 void run_fmm_multipole(const exec_config& cfg, const fmm::node_moments& self,

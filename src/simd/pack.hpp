@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <ostream>
 #include <type_traits>
+#include <utility>
 
 #if defined(__SSE2__)
 #include <immintrin.h>
@@ -63,10 +64,11 @@ class pack {
 
     pack() : v_{} {}
 
-    /// Broadcast constructor.
-    pack(T s) { // NOLINT(google-explicit-constructor): broadcast is intended
-        for (std::size_t i = 0; i < W; ++i) v_[i] = s;
-    }
+    /// Broadcast constructor. Built as one vector initializer, not a lane
+    /// loop: inside a kernel loop GCC lowers the lane loop to W masked
+    /// broadcasts of the same value instead of one.
+    pack(T s) // NOLINT(google-explicit-constructor): broadcast is intended
+        : pack(s, std::make_index_sequence<W>{}) {}
 
     /// Element load from contiguous memory. The lane loop SLP-vectorizes to
     /// one unaligned vector load (measured faster than a memcpy of the
@@ -130,6 +132,9 @@ class pack {
     }
 
   private:
+    template <std::size_t... I>
+    pack(T s, std::index_sequence<I...>) : v_{((void)I, s)...} {}
+
     vec v_;
 };
 

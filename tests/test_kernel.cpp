@@ -100,6 +100,7 @@ partner_buffer make_buffer(bool with_quadrupoles) {
         }
     }
     buf.any = true;
+    buf.h = 1.0 / INX; // cell width: the monopole kernel's separations are -d h
     return buf;
 }
 
@@ -117,11 +118,11 @@ TEST(KernelFmm, MonopoleScalarVsSimdWithinRounding) {
     const auto buf = make_buffer(false);
     const auto opt = stencil_opt(false);
     node_gravity ref;
-    octo::kernel::fmm_monopole<octo::kernel::exec::scalar>(mom, buf, opt, 0, ref);
+    octo::kernel::fmm_monopole<octo::kernel::exec::scalar>(buf, opt, 0, ref);
     node_gravity w2, w4, w8;
-    octo::kernel::fmm_monopole<octo::kernel::exec::simd<2>>(mom, buf, opt, 0, w2);
-    octo::kernel::fmm_monopole<octo::kernel::exec::simd<4>>(mom, buf, opt, 0, w4);
-    octo::kernel::fmm_monopole<octo::kernel::exec::simd<8>>(mom, buf, opt, 0, w8);
+    octo::kernel::fmm_monopole<octo::kernel::exec::simd<2>>(buf, opt, 0, w2);
+    octo::kernel::fmm_monopole<octo::kernel::exec::simd<4>>(buf, opt, 0, w4);
+    octo::kernel::fmm_monopole<octo::kernel::exec::simd<8>>(buf, opt, 0, w8);
     compare_gravity(ref, w2, /*exact=*/false);
     compare_gravity(ref, w4, /*exact=*/false);
     compare_gravity(ref, w8, /*exact=*/false);
@@ -132,8 +133,8 @@ TEST(KernelFmm, MonopoleScalarVsGpuBitIdentical) {
     const auto buf = make_buffer(false);
     const auto opt = stencil_opt(false);
     node_gravity s, g;
-    octo::kernel::fmm_monopole<octo::kernel::exec::scalar>(mom, buf, opt, 0, s);
-    octo::kernel::fmm_monopole<octo::kernel::exec::gpu>(mom, buf, opt, 0, g);
+    octo::kernel::fmm_monopole<octo::kernel::exec::scalar>(buf, opt, 0, s);
+    octo::kernel::fmm_monopole<octo::kernel::exec::gpu>(buf, opt, 0, g);
     compare_gravity(s, g, /*exact=*/true);
 }
 
@@ -142,13 +143,142 @@ TEST(KernelFmm, MonopoleTileBitIdenticalAtFixedWidth) {
     const auto buf = make_buffer(false);
     const auto opt = stencil_opt(false);
     node_gravity untiled;
-    octo::kernel::fmm_monopole<octo::kernel::exec::simd<4>>(mom, buf, opt, 0,
+    octo::kernel::fmm_monopole<octo::kernel::exec::simd<4>>(buf, opt, 0,
                                                             untiled);
     for (const int tile : {4, 16, 64}) {
         node_gravity tiled;
-        octo::kernel::fmm_monopole<octo::kernel::exec::simd<4>>(mom, buf, opt,
+        octo::kernel::fmm_monopole<octo::kernel::exec::simd<4>>(buf, opt,
                                                                 tile, tiled);
         compare_gravity(untiled, tiled, /*exact=*/true);
+    }
+}
+
+TEST(KernelFmm, MonopoleRequiresCellWidth) {
+    auto buf = make_buffer(false);
+    buf.h = 0.0;
+    const auto opt = stencil_opt(false);
+    node_gravity out;
+    EXPECT_DEATH(octo::kernel::fmm_monopole<octo::kernel::exec::scalar>(buf, opt, 0, out),
+                 "cell width");
+}
+
+TEST(KernelFmm, UnitGreenTableIsExactlyOdd) {
+    // table(-d) == -table(d) bit for bit is what makes leaf-leaf pair forces
+    // exactly antisymmetric.
+    for (const auto* st : {&interaction_stencil(), &root_stencil()}) {
+        for (const auto& e : *st) {
+            const auto mirror = std::find_if(st->begin(), st->end(), [&](const auto& o) {
+                return o.dx == -e.dx && o.dy == -e.dy && o.dz == -e.dz;
+            });
+            ASSERT_NE(mirror, st->end());
+            EXPECT_EQ(mirror->unit_green[0], e.unit_green[0]);
+            for (int a = 1; a < 4; ++a) {
+                EXPECT_EQ(mirror->unit_green[a], -e.unit_green[a]);
+            }
+        }
+    }
+}
+
+/// Leaf-leaf geometry: receiver and partner centers of mass at the cell
+/// centers of one level (origin o, width h), as the solver builds them.
+struct leaf_leaf_fixture {
+    static constexpr double h = 0.0625;
+    static constexpr double o[3] = {-0.37, 0.21, 1.13};
+    partner_buffer buf;
+
+    leaf_leaf_fixture() {
+        constexpr int R = partner_buffer::reach;
+        xoshiro256 rng(5);
+        for (int i = -R; i < INX + R; ++i)
+            for (int j = -R; j < INX + R; ++j)
+                for (int k = -R; k < INX + R; ++k) {
+                    const int p = partner_buffer::index(i, j, k);
+                    buf.m[p] = rng.uniform(0.1, 1.0);
+                    buf.x[p] = center(0, i);
+                    buf.y[p] = center(1, j);
+                    buf.z[p] = center(2, k);
+                }
+        buf.any = true;
+        buf.h = h;
+    }
+    static double center(int axis, int i) { return o[axis] + (i + 0.5) * h; }
+};
+
+TEST(KernelFmm, TableMonopoleMatchesPositionReference) {
+    const leaf_leaf_fixture fx;
+    const auto opt = stencil_opt(false);
+    // Scalar reference from the positions: phi = -sum m/r, L1 = sum m x/r^3,
+    // plus the sum of |terms| each component's rounding scales with.
+    std::vector<double> ref(4 * INX3, 0.0), mag(4 * INX3, 0.0);
+    for (int i = 0; i < INX; ++i)
+        for (int j = 0; j < INX; ++j)
+            for (int k = 0; k < INX; ++k) {
+                const int c = cell_index(i, j, k);
+                const int bit = (i & 1) | ((j & 1) << 1) | ((k & 1) << 2);
+                const double a[3] = {leaf_leaf_fixture::center(0, i),
+                                     leaf_leaf_fixture::center(1, j),
+                                     leaf_leaf_fixture::center(2, k)};
+                for (const auto& e : *opt.stencil) {
+                    if (((e.parity_mask >> bit) & 1) == 0) continue;
+                    const int p = partner_buffer::index(i + e.dx, j + e.dy, k + e.dz);
+                    const double x[3] = {a[0] - fx.buf.x[p], a[1] - fx.buf.y[p],
+                                         a[2] - fx.buf.z[p]};
+                    const double r = std::sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2]);
+                    const double m = fx.buf.m[p];
+                    const double term[4] = {-m / r, m * x[0] / (r * r * r),
+                                            m * x[1] / (r * r * r),
+                                            m * x[2] / (r * r * r)};
+                    for (int t = 0; t < 4; ++t) {
+                        ref[t * INX3 + c] += term[t];
+                        mag[t * INX3 + c] += std::abs(term[t]);
+                    }
+                }
+            }
+    node_gravity s, v;
+    octo::kernel::fmm_monopole<octo::kernel::exec::scalar>(fx.buf, opt, 0, s);
+    octo::kernel::run_fmm_monopole(kernel::exec_config{}, fx.buf, opt, v);
+    for (const auto* out : {&s, &v}) {
+        for (int t = 0; t < 4; ++t)
+            for (int c = 0; c < INX3; ++c) {
+                const double want = ref[t * INX3 + c];
+                const double got = out->L[t][c];
+                ASSERT_TRUE(std::isfinite(got)) << "t=" << t << " c=" << c;
+                EXPECT_NEAR(got, want, 1e-13 * mag[t * INX3 + c])
+                    << "t=" << t << " c=" << c;
+            }
+    }
+}
+
+TEST(KernelFmm, MultipoleClassesMatchGeneralBody) {
+    // Each specialised class drops terms that multiply a zero q; on inputs
+    // where those q are zero it must agree with the full body to rounding.
+    struct class_case {
+        pair_class cls;
+        bool receiver_q, partner_q;
+    };
+    for (const auto& cc : {class_case{pair_class::refined_leaf, true, false},
+                           class_case{pair_class::leaf_refined, false, true}}) {
+        const auto mom = make_moments(cc.receiver_q);
+        aligned_vector<double> invm(INX3);
+        for (int i = 0; i < INX3; ++i) invm[i] = 1.0 / mom.m[i];
+        const auto buf = make_buffer(cc.partner_q);
+        for (const am_mode mode :
+             {am_mode::none, am_mode::central_projection, am_mode::spin_deposit}) {
+            auto full = stencil_opt(false);
+            full.conserve = mode;
+            auto special = full;
+            special.pairs = cc.cls;
+            for (const int w : {1, static_cast<int>(simd::default_width)}) {
+                const kernel::exec_config cfg{kernel::backend_kind::simd, w, 0};
+                node_gravity a, b;
+                octo::kernel::run_fmm_multipole(cfg, mom, invm, buf, full, a);
+                octo::kernel::run_fmm_multipole(cfg, mom, invm, buf, special, b);
+                SCOPED_TRACE(::testing::Message()
+                             << "class " << static_cast<int>(cc.cls) << " mode "
+                             << static_cast<int>(mode) << " width " << w);
+                compare_gravity(a, b, /*exact=*/false);
+            }
+        }
     }
 }
 
